@@ -4,7 +4,7 @@
 //! flagged diagnostic — none of them may silently eat traffic.
 
 use proptest::prelude::*;
-use virtualwire::{compile_script, EngineConfig, Runner};
+use virtualwire::{compile_script, EngineConfig, EngineStats, Runner};
 use vw_fsl::CompiledActionKind;
 use vw_netsim::apps::{UdpFlooder, UdpSink};
 use vw_netsim::{Binding, LinkConfig, SimDuration, World};
@@ -176,6 +176,62 @@ fn delay_pending_at_run_end_is_flushed() {
     assert_eq!(stats.teardown_flushed, 10, "all of them were still held");
     assert_eq!(stats.faults_in_limbo, 0);
     assert_eq!(sink_frames(bed), 10, "DELAY must never lose frames");
+}
+
+/// Runs a SEND-side fault `action` on node1 that is still holding frames
+/// when STOP fires on the fifth send. Returns node1's engine stats, the
+/// sink's frame count and node2's classified count after teardown.
+fn held_at_stop(action: &str) -> (EngineStats, u64, u64) {
+    let bed = &mut testbed(
+        11,
+        &format!(
+            r#"
+            SCENARIO HeldAtStop
+            Sent: (udp_data, node1, node2, SEND)
+            (TRUE) >> ENABLE_CNTR(Sent);
+            {action}
+            ((Sent = 5)) >> STOP;
+            END
+            "#
+        ),
+        10,
+        200,
+        |_| {},
+    );
+    let report = bed.runner.run(&mut bed.world, SimDuration::from_secs(2));
+    assert!(report.passed());
+    assert_eq!(report.counter("Sent"), Some(5));
+    let stats = bed.runner.engine(&bed.world, "node1").unwrap().stats();
+    let recv = bed.runner.engine(&bed.world, "node2").unwrap().stats();
+    (stats, sink_frames(bed), recv.classified)
+}
+
+/// STOP fires while the DELAY line still holds the third frame: teardown
+/// must flush it rather than leave it in limbo.
+#[test]
+fn delay_held_at_stop_is_flushed() {
+    let (stats, sink, recv) =
+        held_at_stop("((Sent = 3)) >> DELAY(udp_data, node1, node2, SEND, 500msec);");
+    assert_eq!(stats.delays, 1);
+    assert_eq!(stats.teardown_flushed, 1, "the delayed frame was held");
+    assert_eq!(stats.faults_in_limbo, 0, "nothing may stay in limbo");
+    // Frames 1, 2 and 4 arrive. Frame 3 sat in the delay line until
+    // teardown; frame 5 fired STOP and was still on the wire.
+    assert_eq!((sink, recv), (3, 3));
+}
+
+/// A 3-slot REORDER with only frames 4 and 5 buffered when STOP fires:
+/// teardown flushes both.
+#[test]
+fn partial_reorder_at_stop_is_flushed() {
+    let (stats, sink, recv) =
+        held_at_stop("((Sent > 3)) >> REORDER(udp_data, node1, node2, SEND, 3, (2 1 0));");
+    assert_eq!(stats.reorders, 2);
+    assert_eq!(stats.reorder_malformed, 0);
+    assert_eq!(stats.teardown_flushed, 2, "the unfilled batch is flushed");
+    assert_eq!(stats.faults_in_limbo, 0, "nothing may stay in limbo");
+    // Only frames 1-3 went out before the buffer started holding.
+    assert_eq!((sink, recv), (3, 3));
 }
 
 /// A scripted frame injected onto a host while a DELAY line is holding

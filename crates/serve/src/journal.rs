@@ -20,6 +20,8 @@ use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::Mutex;
 
+use vw_trace::json_string;
+
 use crate::payload::{get_str, get_u64, get_u8, put_str, put_u64, put_u8};
 
 /// How loudly a journal entry matters.
@@ -327,23 +329,16 @@ impl JournalEntry {
     /// One JSONL record for this entry (hand-rolled, same dialect as the
     /// campaign JSONL).
     pub fn to_jsonl(&self) -> String {
-        let mut text = String::new();
-        for c in self.event.render().chars() {
-            match c {
-                '"' => text.push_str("\\\""),
-                '\\' => text.push_str("\\\\"),
-                '\n' => text.push_str("\\n"),
-                c => text.push(c),
-            }
-        }
-        format!(
-            "{{\"seq\":{},\"t_ms\":{},\"severity\":\"{}\",\"kind\":\"{}\",\"text\":\"{}\"}}\n",
+        let mut line = format!(
+            "{{\"seq\":{},\"t_ms\":{},\"severity\":\"{}\",\"kind\":\"{}\",\"text\":",
             self.seq,
             self.t_ms,
             self.severity.as_str(),
             self.event.kind(),
-            text
-        )
+        );
+        json_string(&mut line, &self.event.render());
+        line.push_str("}\n");
+        line
     }
 }
 

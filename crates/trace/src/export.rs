@@ -27,10 +27,11 @@ pub fn chrome_json_many(traces: &[Trace]) -> String {
                 out.push(',');
             }
             first = false;
+            out.push_str("{\"name\":");
+            json_string(&mut out, r.name);
             let _ = write!(
                 out,
-                "{{\"name\":{},\"cat\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}}}",
-                json_string(r.name),
+                ",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}}}",
                 r.category.as_str(),
                 trace.tid,
                 r.start_ns as f64 / 1_000.0,
@@ -42,9 +43,10 @@ pub fn chrome_json_many(traces: &[Trace]) -> String {
     out
 }
 
-/// Escapes a string into a JSON string literal (with quotes).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Appends `s` to `out` as a quoted JSON string literal, escaping
+/// quotes, backslashes and control characters. This is the workspace's
+/// one JSON string writer; [`Json::parse`] reads its output back.
+pub fn json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -60,7 +62,6 @@ fn json_string(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 /// A parsed JSON value (validator-grade: numbers are `f64`, object keys
@@ -423,6 +424,29 @@ mod tests {
             "{\"traceEvents\":[{\"name\":\"x\",\"ph\":\"B\",\"ts\":0,\"dur\":0,\"pid\":1,\"tid\":1}]}"
         )
         .is_err());
+    }
+
+    #[test]
+    fn json_string_round_trips_through_the_parser() {
+        for s in [
+            "",
+            "plain",
+            "quote \" backslash \\ end",
+            "newline \n return \r tab \t",
+            "control \u{1} \u{1f} del \u{7f}",
+            "non-ascii é ∑ 🦀",
+        ] {
+            let mut out = String::new();
+            json_string(&mut out, s);
+            assert!(
+                !out.chars().any(|c| (c as u32) < 0x20),
+                "control characters must be escaped: {out:?}"
+            );
+            assert_eq!(Json::parse(&out), Ok(Json::Str(s.to_string())), "{out}");
+        }
+        let mut out = String::new();
+        json_string(&mut out, "\u{1}\t");
+        assert_eq!(out, "\"\\u0001\\t\"");
     }
 
     #[test]

@@ -115,9 +115,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         folded.lines().count()
     );
 
-    // Self-check: every engine phase of the Figure 4(b) pipeline and the
-    // TCP stack showed up, and self times cover the run.
-    for cat in [Category::Event, Category::Classify, Category::Tcp] {
+    // Self-check: the root span, every engine phase of the Figure 4(b)
+    // pipeline and the TCP stack showed up, and self times cover the run.
+    for cat in [
+        Category::Run,
+        Category::Event,
+        Category::Classify,
+        Category::Cascade,
+        Category::Action,
+        Category::Tcp,
+    ] {
         assert!(
             breakdown.get(cat).is_some_and(|s| s.spans > 0),
             "no spans in category {cat}"

@@ -89,6 +89,8 @@ cargo run -q --release --example load_test > /dev/null
 echo "==> telemetry-smoke"
 cargo test -q -p vw-serve --test telemetry
 cargo run -q --release --example watch_daemon > /dev/null
+# `cargo build --release` above builds only the root package, not this binary.
+cargo build -q --release -p vw-serve --bin vw-serve
 VW_TELE_SOCK="target/vw-ci-telemetry.sock"
 rm -f "$VW_TELE_SOCK"
 ./target/release/vw-serve --unix "$VW_TELE_SOCK" \
@@ -104,15 +106,13 @@ kill "$VW_TELE_PID" 2>/dev/null || true
 wait "$VW_TELE_PID" 2>/dev/null || true
 rm -rf "$VW_TELE_SOCK" target/vw-ci-telemetry-state
 
-# Bench smoke: the perf-trajectory harness must run end to end in quick
-# mode, emit schema-valid JSON, and observe zero frame-conservation
-# diagnostics (no injected fault may lose or garble frames) in the
-# example scenarios it drives.
-echo "==> bench-smoke"
-cargo build -q --release -p vw-bench --bin bench_snapshot
-./target/release/bench_snapshot --quick --enforce-conservation \
-    --label ci-smoke --out target/bench_smoke.json > /dev/null
-./target/release/bench_snapshot --check target/bench_smoke.json
+# Perfbench smoke: the repository benchmark (BENCHMARK.json) builds and
+# runs every workload in quick mode with its output checks — exact TCP
+# delivery, pinned flood counters and fault tallies, daemon lines
+# byte-identical to an in-process run, the DELAY-at-STOP and
+# partial-REORDER conservation probes — plus its unit tests.
+echo "==> perfbench-smoke"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
