@@ -3,25 +3,34 @@
 use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
-use vw_packet::{Frame, MacAddr};
+use vw_packet::MacAddr;
 
 use crate::hook::Hook;
 use crate::id::LinkId;
 use crate::protocol::{Binding, Protocol};
+use crate::time::SimTime;
 
 /// Default bound on a port's transmit queue, in frames. Finite queues are
 /// what make throughput saturate realistically at high offered load.
 pub const DEFAULT_TX_QUEUE_CAP: usize = 128;
 
-/// One attachment point on a device. Owns the transmit queue and the
-/// in-flight frame being serialized.
+/// One attachment point on a device: a transmitter that serialises the
+/// frames committed to it back to back.
+///
+/// A frame is committed when it is sent: its serialisation is scheduled
+/// to start when the port falls idle ([`busy_until`](Port::busy_until))
+/// and its link crossing is one event at the far end. The port keeps only
+/// what tail drop and [`PortStats`] need: the end times of the frames
+/// that had not finished serialising at the last send.
 #[derive(Debug)]
 pub(crate) struct Port {
     pub link: Option<LinkId>,
-    pub queue: VecDeque<Frame>,
     pub queue_cap: usize,
-    pub busy: bool,
-    pub in_flight: Option<Frame>,
+    /// `(serialisation end, frame bytes)` of committed frames not yet
+    /// counted as transmitted, in commit order (ends strictly increase).
+    /// Those still serialising at `now` are one on the wire plus the ones
+    /// waiting behind it.
+    pub committed: VecDeque<(SimTime, usize)>,
     /// Frames dropped due to queue overflow.
     pub dropped: u64,
     /// Frames fully transmitted.
@@ -34,14 +43,53 @@ impl Port {
     pub fn new() -> Self {
         Port {
             link: None,
-            queue: VecDeque::new(),
             queue_cap: DEFAULT_TX_QUEUE_CAP,
-            busy: false,
-            in_flight: None,
+            committed: VecDeque::new(),
             dropped: 0,
             tx_frames: 0,
             tx_bytes: 0,
         }
+    }
+
+    /// When the port falls idle: the serialisation end of the last
+    /// committed frame, or `now` if every committed frame has ended.
+    pub fn busy_until(&self, now: SimTime) -> SimTime {
+        self.committed.back().map_or(now, |&(end, _)| end.max(now))
+    }
+
+    /// Counts the committed frames whose serialisation ended by `now` as
+    /// transmitted.
+    pub fn retire(&mut self, now: SimTime) {
+        while let Some(&(end, bytes)) = self.committed.front() {
+            if end > now {
+                break;
+            }
+            self.committed.pop_front();
+            self.tx_frames += 1;
+            self.tx_bytes += bytes as u64;
+        }
+    }
+
+    /// The counters as of `now`, without retiring anything.
+    pub fn stats(&self, now: SimTime) -> PortStats {
+        let mut stats = PortStats {
+            dropped: self.dropped,
+            tx_frames: self.tx_frames,
+            tx_bytes: self.tx_bytes,
+            queued: 0,
+        };
+        let mut serialising = 0usize;
+        for &(end, bytes) in &self.committed {
+            if end <= now {
+                stats.tx_frames += 1;
+                stats.tx_bytes += bytes as u64;
+            } else {
+                serialising += 1;
+            }
+        }
+        // All but the frame on the wire are waiting.
+        stats.queued = serialising.saturating_sub(1);
+        stats
     }
 }
 

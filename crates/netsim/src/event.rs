@@ -1,21 +1,28 @@
 //! The discrete-event queue.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 
 use vw_packet::Frame;
 
-use crate::id::{DeviceId, HandlerRef, PortRef, TimerId};
+use crate::id::{DeviceId, HandlerRef, LinkId, PortRef, TimerId};
 use crate::time::SimTime;
 use crate::timer_wheel::TimerWheel;
 
 /// The kinds of events the simulator processes.
 #[derive(Debug)]
 pub(crate) enum EventKind {
-    /// A frame finished crossing a link and arrives at a port.
+    /// A frame committed to `from`'s transmitter reaches the far end of
+    /// `link`: serialisation and propagation are both over. The link's
+    /// error model and the control impairment are applied now.
+    Cross {
+        from: PortRef,
+        link: LinkId,
+        frame: Frame,
+    },
+    /// A frame arrives at a port with no link crossing left to model
+    /// (wire injections, impairment-delayed control frames).
     Arrive { to: PortRef, frame: Frame },
-    /// A port finished serializing its in-flight frame.
-    TxComplete { port: PortRef },
     /// A handler's timer fired.
     Timer {
         node: DeviceId,
@@ -72,28 +79,47 @@ impl Ord for Event {
     }
 }
 
+/// Multiplicative-mix hasher for dense integer ids. The parked-timer map
+/// is touched on every timer set, cancel and fire, where sip-hashing a
+/// `u64` is pure overhead; the map is never iterated, so ordering is moot.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl std::hash::Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+    fn write_u64(&mut self, x: u64) {
+        self.0 = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+type IdBuildHasher = std::hash::BuildHasherDefault<IdHasher>;
+
 /// A deterministic priority queue of events: earliest time first, FIFO
 /// within a timestamp.
 ///
-/// Internally three lanes share one sequence counter, so the merged pop
-/// order is byte-identical to a single heap's:
+/// Two lanes share one sequence counter, so the merged pop order is
+/// byte-identical to a single heap's:
 ///
-/// - a **ready lane** (`VecDeque`) for events pushed at the queue's
-///   current time — zero-delay injections land here with O(1) push/pop
-///   instead of churning the heap (pushed times are nondecreasing because
-///   the clock is monotone, so the front is always the lane's minimum);
 /// - a **timer wheel** for handler timers, which are numerous and almost
-///   always cancelled before firing (see [`TimerWheel`]);
-/// - the **heap** for everything else in the future.
+///   always cancelled before firing (see [`TimerWheel`]); a cancel
+///   removes the timer from the wheel at once, so dead timers are never
+///   popped;
+/// - a **heap** for every other event.
 #[derive(Debug, Default)]
 pub(crate) struct EventQueue {
     heap: BinaryHeap<Event>,
-    ready: VecDeque<Event>,
     timers: TimerWheel<EventKind>,
+    /// Where each timer still in the wheel is parked, so a cancel can
+    /// find it by id.
+    parked: HashMap<TimerId, (SimTime, u64), IdBuildHasher>,
     next_seq: u64,
-    /// Time of the most recent pop: the queue's notion of "now", used to
-    /// route at-or-before-now pushes into the ready lane.
-    now: SimTime,
 }
 
 impl EventQueue {
@@ -103,66 +129,55 @@ impl EventQueue {
 
     pub fn push(&mut self, time: SimTime, kind: EventKind) {
         self.next_seq += 1;
-        let event = Event {
+        self.heap.push(Event {
             time,
             seq: self.next_seq,
             kind,
-        };
-        if time <= self.now {
-            self.ready.push_back(event);
-        } else {
-            self.heap.push(event);
-        }
+        });
     }
 
-    /// Parks a timer event in the wheel instead of the heap. Pop order is
-    /// unaffected (the lanes share the sequence counter); only the cost
-    /// profile changes.
-    pub fn push_timer(&mut self, time: SimTime, kind: EventKind) {
-        if time <= self.now {
-            // A zero-delay timer is ready now; the wheel's base never
-            // runs ahead of `now`, so the ready lane is both cheaper and
-            // simpler.
-            self.push(time, kind);
-            return;
-        }
+    /// Parks timer `id` in the wheel until it fires or is
+    /// [cancelled](Self::cancel_timer). Pop order is unaffected (the
+    /// lanes share the sequence counter); only the cost profile changes.
+    pub fn push_timer(&mut self, time: SimTime, id: TimerId, kind: EventKind) {
         self.next_seq += 1;
+        self.parked.insert(id, (time, self.next_seq));
         self.timers.insert(time, self.next_seq, kind);
     }
 
-    /// Which lane holds the next event, by `(time, seq)`.
+    /// Removes timer `id` from the queue. Cancelling a timer that already
+    /// fired, or an unknown id, does nothing.
+    pub fn cancel_timer(&mut self, id: TimerId) {
+        if let Some((time, seq)) = self.parked.remove(&id) {
+            self.timers.remove(time, seq);
+        }
+    }
+
+    /// Which lane holds the next event, by `(time, seq)`, and its time.
     fn min_lane(&self) -> Option<(Lane, SimTime)> {
-        let mut best: Option<(Lane, SimTime, u64)> = None;
-        if let Some(e) = self.ready.front() {
-            best = Some((Lane::Ready, e.time, e.seq));
+        let heap = self.heap.peek().map(|e| (e.time, e.seq));
+        match (heap, self.timers.peek()) {
+            (Some(h), Some(w)) if w < h => Some((Lane::Wheel, w.0)),
+            (Some((time, _)), _) => Some((Lane::Heap, time)),
+            (None, Some((time, _))) => Some((Lane::Wheel, time)),
+            (None, None) => None,
         }
-        if let Some(e) = self.heap.peek() {
-            if best.is_none_or(|(_, t, s)| (e.time, e.seq) < (t, s)) {
-                best = Some((Lane::Heap, e.time, e.seq));
-            }
-        }
-        if let Some((time, seq)) = self.timers.peek() {
-            if best.is_none_or(|(_, t, s)| (time, seq) < (t, s)) {
-                best = Some((Lane::Wheel, time, seq));
-            }
-        }
-        best.map(|(lane, t, _)| (lane, t))
     }
 
     fn pop_lane(&mut self, lane: Lane) -> Option<Event> {
-        let event = match lane {
-            Lane::Ready => self.ready.pop_front()?,
-            Lane::Heap => self.heap.pop()?,
+        match lane {
+            Lane::Heap => self.heap.pop(),
             Lane::Wheel => {
                 // The wheel's pop cascades deep slots toward level 0;
                 // the span makes that (amortized) cost visible.
                 let _span = vw_trace::span("timer_wheel_pop", vw_trace::Category::Event);
                 let (time, seq, kind) = self.timers.pop()?;
-                Event { time, seq, kind }
+                if let EventKind::Timer { id, .. } = kind {
+                    self.parked.remove(&id);
+                }
+                Some(Event { time, seq, kind })
             }
-        };
-        self.now = event.time;
-        Some(event)
+        }
     }
 
     pub fn pop(&mut self) -> Option<Event> {
@@ -172,7 +187,7 @@ impl EventQueue {
 
     /// Pops the next event only if it is due at `time` exactly — the
     /// run loops use this to drain a whole timestamp batch after a single
-    /// [`peek_time`](Self::peek_time). One lane scan per event.
+    /// [`peek_time`](Self::peek_time). One lane comparison per event.
     pub fn pop_at(&mut self, time: SimTime) -> Option<Event> {
         let (lane, t) = self.min_lane()?;
         if t != time {
@@ -186,7 +201,7 @@ impl EventQueue {
     }
 
     pub fn len(&self) -> usize {
-        self.heap.len() + self.ready.len() + self.timers.len()
+        self.heap.len() + self.timers.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -196,7 +211,6 @@ impl EventQueue {
 
 #[derive(Debug, Clone, Copy)]
 enum Lane {
-    Ready,
     Heap,
     Wheel,
 }
@@ -245,5 +259,28 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(3)));
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
+    }
+
+    #[test]
+    fn timers_merge_by_time_then_seq_and_a_cancel_removes_them() {
+        let timer = |id: u64| EventKind::Timer {
+            node: DeviceId::from_index(0),
+            handler: HandlerRef::Protocol(crate::id::ProtocolId::from_index(0)),
+            token: id,
+            id: TimerId(id),
+        };
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(5), start(0));
+        q.push_timer(SimTime::from_nanos(5), TimerId(1), timer(1));
+        q.push_timer(SimTime::from_nanos(3), TimerId(2), timer(2));
+        q.push(SimTime::from_nanos(5), start(1));
+        q.cancel_timer(TimerId(2));
+        q.cancel_timer(TimerId(9));
+        assert_eq!(q.len(), 3);
+        let seqs: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![1, 2, 4]);
+        // Timer 1 fired: cancelling it now is a no-op.
+        q.cancel_timer(TimerId(1));
+        assert!(q.is_empty());
     }
 }

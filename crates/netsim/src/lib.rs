@@ -18,6 +18,18 @@
 //! * [`apps`] provides UDP echo/ping/flood traffic tools used by the
 //!   evaluation harness (Figures 7 and 8).
 //!
+//! # Event model
+//!
+//! Time advances only by events, popped earliest first and in insertion
+//! order within a timestamp. A frame sent on a port is committed to the
+//! port's transmitter: it serialises once every frame committed before it
+//! has, and its whole link crossing (serialisation plus propagation) is
+//! one event at the far end, where the link's [`ErrorModel`] decides its
+//! fate. A port holds one frame on the wire plus a bounded queue and
+//! tail-drops the rest ([`PortStats`]). Handler timers leave the queue the
+//! moment they are cancelled, so a cancelled timer costs no event and
+//! cancelling one that already fired is a no-op.
+//!
 //! # Example: UDP ping over a switch
 //!
 //! ```

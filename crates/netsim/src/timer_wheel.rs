@@ -5,8 +5,10 @@
 //! numbers and almost always cancelled before they fire. Keeping them in
 //! the global event [`BinaryHeap`](std::collections::BinaryHeap) means
 //! every set/fire churns an `O(log n)` structure shared with frame
-//! events. The wheel gives timers their own home with `O(log slots)`
-//! insert, `O(1)` peek, and amortized-cheap pop.
+//! events, and a cancelled timer could only be skipped when it finally
+//! popped. The wheel gives timers their own home with `O(log slots)`
+//! insert, `O(1)` peek, amortized-cheap pop, and a [`remove`] that
+//! looks in one slot per level, so a cancel takes the timer out at once.
 //!
 //! ## Structure
 //!
@@ -144,9 +146,36 @@ impl<T> TimerWheel<T> {
         Some((entry.time, entry.seq, entry.payload))
     }
 
-    /// Recomputes `cached_min` after a pop. Scans level 0's first slot for
-    /// a candidate, then cascades down any deeper slot whose window start
-    /// could precede it; repeats until no deeper level can compete. Each
+    /// Removes the timer `(time, seq)` and returns its payload, or `None`
+    /// if it is not parked here (already popped, or never inserted). An
+    /// entry always sits in slot `time >> shift` of the level its insert
+    /// or last cascade chose, so at most one slot per level is searched.
+    pub fn remove(&mut self, time: SimTime, seq: u64) -> Option<T> {
+        for (level, &shift) in self.levels.iter_mut().zip(&SHIFTS) {
+            let slot = time.as_nanos() >> shift;
+            let Some(entries) = level.get_mut(&slot) else {
+                continue;
+            };
+            let Some(pos) = entries.iter().position(|e| e.seq == seq) else {
+                continue;
+            };
+            let entry = entries.swap_remove(pos);
+            if entries.is_empty() {
+                level.remove(&slot);
+            }
+            self.len -= 1;
+            if self.cached_min == Some((time, seq)) {
+                self.rebuild_min();
+            }
+            return Some(entry.payload);
+        }
+        None
+    }
+
+    /// Recomputes `cached_min` after a pop or the removal of the minimum.
+    /// Scans level 0's first slot for a candidate, then cascades down any
+    /// deeper slot whose window start could precede it; repeats until no
+    /// deeper level can compete. Each
     /// splice moves entries at least one level down, so an entry cascades
     /// at most `levels - 1` times over its lifetime.
     fn rebuild_min(&mut self) {
@@ -187,6 +216,8 @@ impl<T> TimerWheel<T> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeSet, HashMap};
+
     use super::*;
 
     /// Tiny deterministic LCG so the model test needs no RNG dependency.
@@ -244,6 +275,7 @@ mod tests {
     #[test]
     fn matches_a_sorted_model_on_random_workloads() {
         let mut rng = Lcg(0x5eed);
+        let (mut removed_min, mut removed_cascaded, mut removed_popped) = (0, 0, 0);
         for round in 0..20 {
             let mut w = TimerWheel::default();
             let mut model: Vec<(u64, u64)> = Vec::new();
@@ -265,7 +297,71 @@ mod tests {
                 got.push(p);
             }
             assert_eq!(got, model, "round {round}");
+
+            // Same shape of workload, now with removals interleaved with
+            // the pops; the wheel must track the model after every step.
+            let mut w = TimerWheel::default();
+            let mut model = BTreeSet::new();
+            let mut insert_level = HashMap::new();
+            let mut popped = Vec::new();
+            for seq in 0..n {
+                let t = match rng.next() % 4 {
+                    0 => rng.next() % (1 << 14),
+                    1 => rng.next() % (1 << 22),
+                    2 => rng.next() % (1 << 30),
+                    _ => rng.next() % (1 << 38),
+                };
+                w.insert(SimTime::from_nanos(t), seq, (t, seq));
+                model.insert((t, seq));
+                insert_level.insert(seq, level_of(&w, seq));
+            }
+            while let Some(&first) = model.first() {
+                match rng.next() % 6 {
+                    0 => {
+                        // The cached minimum itself.
+                        assert_eq!(w.remove(SimTime::from_nanos(first.0), first.1), Some(first));
+                        model.remove(&first);
+                        removed_min += 1;
+                    }
+                    1 | 2 => {
+                        let (t, seq) = *model
+                            .iter()
+                            .nth(rng.next() as usize % model.len())
+                            .expect("non-empty");
+                        if level_of(&w, seq) < insert_level[&seq] {
+                            removed_cascaded += 1;
+                        }
+                        assert_eq!(w.remove(SimTime::from_nanos(t), seq), Some((t, seq)));
+                        model.remove(&(t, seq));
+                    }
+                    3 if !popped.is_empty() => {
+                        let (t, seq) = popped[rng.next() as usize % popped.len()];
+                        assert_eq!(w.remove(SimTime::from_nanos(t), seq), None);
+                        removed_popped += 1;
+                    }
+                    _ => {
+                        let (_, _, p) = w.pop().expect("model is non-empty");
+                        assert_eq!(model.pop_first(), Some(p), "round {round}");
+                        popped.push(p);
+                    }
+                }
+                assert_eq!(w.len(), model.len());
+                let model_min = model.first().map(|&(t, s)| (SimTime::from_nanos(t), s));
+                assert_eq!(w.peek(), model_min, "round {round}");
+            }
+            assert!(w.pop().is_none());
         }
+        assert!(removed_min > 0, "no removal of the cached minimum");
+        assert!(removed_cascaded > 0, "no removal of a cascaded entry");
+        assert!(removed_popped > 0, "no removal of a popped entry");
+    }
+
+    /// The level currently holding the entry with sequence number `seq`.
+    fn level_of<T>(w: &TimerWheel<T>, seq: u64) -> usize {
+        w.levels
+            .iter()
+            .position(|level| level.values().flatten().any(|e| e.seq == seq))
+            .expect("entry is parked")
     }
 
     #[test]

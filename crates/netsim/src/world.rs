@@ -1,7 +1,7 @@
 //! The simulation world: topology, event loop, and dispatch.
 
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -14,7 +14,7 @@ use crate::context::{Context, CtxOrigin, Effect};
 use crate::device::{Device, Host, Hub, Port, PortStats, Switch};
 use crate::event::{EventKind, EventQueue};
 use crate::hook::{Hook, Verdict};
-use crate::id::{DeviceId, HandlerRef, HookId, LinkId, PortRef, ProtocolId, TimerId};
+use crate::id::{DeviceId, HandlerRef, HookId, LinkId, PortRef, ProtocolId};
 use crate::link::{Link, LinkConfig};
 use crate::protocol::{Binding, Protocol};
 use crate::time::{serialization_time, SimDuration, SimTime};
@@ -27,28 +27,6 @@ pub const WIRE_OVERHEAD_BYTES: usize = 24;
 /// Minimum Ethernet frame size (before overhead); shorter frames are padded
 /// on the wire.
 pub const MIN_FRAME_BYTES: usize = 60;
-
-/// Multiplicative-mix hasher for dense integer ids. The timer-cancel set
-/// is touched on every timer set/cancel/fire, where sip-hashing a `u64`
-/// is pure overhead; the set is never iterated, so ordering is moot.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl std::hash::Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-    fn write_u64(&mut self, x: u64) {
-        self.0 = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-type IdBuildHasher = std::hash::BuildHasherDefault<IdHasher>;
 
 /// A deterministic discrete-event simulation of a LAN testbed.
 ///
@@ -83,7 +61,6 @@ pub struct World {
     now: SimTime,
     rng: StdRng,
     next_timer_id: u64,
-    cancelled_timers: HashSet<TimerId, IdBuildHasher>,
     trace: TraceSink,
     stop_reason: Option<String>,
     /// Impairment applied to VirtualWire control frames (`0x88B5`) on
@@ -129,7 +106,6 @@ impl World {
             now: SimTime::ZERO,
             rng: StdRng::seed_from_u64(seed),
             next_timer_id: 0,
-            cancelled_timers: HashSet::default(),
             trace: TraceSink::new(),
             stop_reason: None,
             control_impairment: crate::error_model::ControlImpairment::none(),
@@ -419,15 +395,9 @@ impl World {
 
     /// Counters for a device port (port 0 for hosts).
     pub fn port_stats(&self, port: PortRef) -> PortStats {
-        match self.devices[port.device.index()].port(port.port) {
-            Some(p) => PortStats {
-                dropped: p.dropped,
-                tx_frames: p.tx_frames,
-                tx_bytes: p.tx_bytes,
-                queued: p.queue.len(),
-            },
-            None => PortStats::default(),
-        }
+        self.devices[port.device.index()]
+            .port(port.port)
+            .map_or_else(PortStats::default, |p| p.stats(self.now))
     }
 
     // ------------------------------------------------------------------
@@ -588,17 +558,14 @@ impl World {
 
     fn handle(&mut self, kind: EventKind) {
         match kind {
+            EventKind::Cross { from, link, frame } => self.handle_cross(from, link, frame),
             EventKind::Arrive { to, frame } => self.handle_arrival(to, frame),
-            EventKind::TxComplete { port } => self.handle_tx_complete(port),
             EventKind::Timer {
                 node,
                 handler,
                 token,
-                id,
+                ..
             } => {
-                if self.cancelled_timers.remove(&id) {
-                    return;
-                }
                 let _span = vw_trace::span("timer_dispatch", vw_trace::Category::Event);
                 self.dispatch_timer(node, handler, token);
             }
@@ -708,44 +675,15 @@ impl World {
         }
     }
 
-    fn handle_tx_complete(&mut self, at: PortRef) {
+    /// A committed frame reaches the far end of `link_id`. The link's
+    /// error model draws here, then the control impairment; a surviving
+    /// frame arrives at the peer port now.
+    fn handle_cross(&mut self, from: PortRef, link_id: LinkId, mut frame: Frame) {
         self.last_frame_activity = self.now;
-        let (frame, link_id) = {
-            let port = self.devices[at.device.index()]
-                .port_mut(at.port)
-                .expect("tx-complete on missing port");
-            let frame = port.in_flight.take().expect("tx-complete without frame");
-            port.tx_frames += 1;
-            port.tx_bytes += frame.len() as u64;
-            (frame, port.link)
-        };
-        if let Some(link_id) = link_id {
-            self.cross_link(link_id, at, frame);
-        }
-        // Start the next transmission, if any.
-        let next = {
-            let port = self.devices[at.device.index()]
-                .port_mut(at.port)
-                .expect("port");
-            match port.queue.pop_front() {
-                Some(f) => Some(f),
-                None => {
-                    port.busy = false;
-                    None
-                }
-            }
-        };
-        if let Some(f) = next {
-            self.begin_tx(at, f);
-        }
-    }
-
-    fn cross_link(&mut self, link_id: LinkId, from: PortRef, mut frame: Frame) {
         let link = &self.links[link_id.index()];
         let Some((peer, error_model)) = link.peer_of(from) else {
             return;
         };
-        let propagation = link.config.propagation;
         use crate::error_model::LinkOutcome;
         match error_model.apply(&mut frame, &mut self.rng) {
             LinkOutcome::Lost => {
@@ -758,130 +696,103 @@ impl World {
                         format!("on {link_id}"),
                     );
                 }
+                return;
             }
-            outcome => {
-                if let LinkOutcome::Corrupted { bits_flipped } = outcome {
-                    if self.trace.is_enabled() {
-                        self.trace.record(
-                            self.now,
-                            from.device,
-                            TraceKind::LinkCorrupt,
-                            Some(&frame),
-                            format!("{bits_flipped} bits flipped on {link_id}"),
+            LinkOutcome::Corrupted { bits_flipped } => {
+                if self.trace.is_enabled() {
+                    self.trace.record(
+                        self.now,
+                        from.device,
+                        TraceKind::LinkCorrupt,
+                        Some(&frame),
+                        format!("{bits_flipped} bits flipped on {link_id}"),
+                    );
+                }
+            }
+            LinkOutcome::Delivered => {}
+        }
+        // Control-plane impairment: applied only to 0x88B5 frames and only
+        // on their final hop (the receiving peer is a host), so per-frame
+        // rates are exact across multi-switch paths and the data plane is
+        // never perturbed.
+        if !self.control_impairment.is_inert()
+            && frame.ethertype() == EtherType::VW_CONTROL
+            && matches!(self.devices[peer.device.index()], Device::Host(_))
+        {
+            use crate::error_model::ControlFate;
+            match self.control_impairment.decide(&mut self.rng) {
+                ControlFate::Drop => {
+                    self.trace.record(
+                        self.now,
+                        from.device,
+                        TraceKind::LinkLoss,
+                        Some(&frame),
+                        format!("control impairment drop on {link_id}"),
+                    );
+                    return;
+                }
+                ControlFate::Deliver {
+                    duplicate,
+                    extra_ns,
+                } => {
+                    let arrive = self.now.saturating_add(SimDuration::from_nanos(extra_ns));
+                    if duplicate {
+                        self.queue.push(
+                            arrive.saturating_add(SimDuration::from_nanos(1)),
+                            EventKind::Arrive {
+                                to: peer,
+                                frame: frame.clone(),
+                            },
                         );
                     }
-                }
-                // Control-plane impairment: applied only to 0x88B5 frames
-                // and only on their final hop (the receiving peer is a
-                // host), so per-frame rates are exact across multi-switch
-                // paths and the data plane is never perturbed.
-                if !self.control_impairment.is_inert()
-                    && frame.ethertype() == EtherType::VW_CONTROL
-                    && matches!(self.devices[peer.device.index()], Device::Host(_))
-                {
-                    use crate::error_model::ControlFate;
-                    match self.control_impairment.decide(&mut self.rng) {
-                        ControlFate::Drop => {
-                            self.trace.record(
-                                self.now,
-                                from.device,
-                                TraceKind::LinkLoss,
-                                Some(&frame),
-                                format!("control impairment drop on {link_id}"),
-                            );
-                            return;
-                        }
-                        ControlFate::Deliver {
-                            duplicate,
-                            extra_ns,
-                        } => {
-                            let arrive = self
-                                .now
-                                .saturating_add(propagation)
-                                .saturating_add(SimDuration::from_nanos(extra_ns));
-                            if duplicate {
-                                self.queue.push(
-                                    arrive.saturating_add(SimDuration::from_nanos(1)),
-                                    EventKind::Arrive {
-                                        to: peer,
-                                        frame: frame.clone(),
-                                    },
-                                );
-                            }
-                            self.queue
-                                .push(arrive, EventKind::Arrive { to: peer, frame });
-                            return;
-                        }
+                    if extra_ns > 0 {
+                        self.queue
+                            .push(arrive, EventKind::Arrive { to: peer, frame });
+                        return;
                     }
                 }
-                self.queue.push(
-                    self.now.saturating_add(propagation),
-                    EventKind::Arrive { to: peer, frame },
-                );
             }
         }
+        self.handle_arrival(peer, frame);
     }
 
-    /// Enqueues a frame on a port's transmitter, beginning transmission if
-    /// the port is idle.
+    /// Commits a frame to a port's transmitter: it serialises as soon as
+    /// every frame committed before it has, and its whole link crossing
+    /// is one [`EventKind::Cross`] at serialisation end plus propagation.
+    /// Tail drop holds one frame on the wire plus `queue_cap` waiting.
     fn port_send(&mut self, at: PortRef, frame: Frame) {
-        enum Outcome {
-            StartTx(Frame),
-            Queued,
-            Overflow(Frame),
-            NoLink,
-        }
-        let outcome = {
-            let Some(port) = self.devices[at.device.index()].port_mut(at.port) else {
-                return;
-            };
-            if port.link.is_none() {
-                Outcome::NoLink
-            } else if !port.busy {
-                Outcome::StartTx(frame)
-            } else if port.queue.len() >= port.queue_cap {
-                port.dropped += 1;
-                Outcome::Overflow(frame)
-            } else {
-                port.queue.push_back(frame);
-                Outcome::Queued
-            }
+        let now = self.now;
+        let Some(port) = self.devices[at.device.index()].port_mut(at.port) else {
+            return;
         };
-        match outcome {
-            Outcome::StartTx(frame) => self.begin_tx(at, frame),
-            Outcome::Queued | Outcome::NoLink => {}
-            Outcome::Overflow(frame) => {
-                self.trace.record(
-                    self.now,
-                    at.device,
-                    TraceKind::QueueDrop,
-                    Some(&frame),
-                    "tx queue overflow",
-                );
-            }
-        }
-    }
-
-    fn begin_tx(&mut self, at: PortRef, frame: Frame) {
-        let rate = {
-            let port = self.devices[at.device.index()]
-                .port_mut(at.port)
-                .expect("port");
-            let link_id = port.link.expect("begin_tx on unconnected port");
-            self.links[link_id.index()].config.rate_bps
+        let Some(link) = port.link else {
+            return;
         };
+        port.retire(now);
+        if port.committed.len() > port.queue_cap {
+            port.dropped += 1;
+            self.trace.record(
+                now,
+                at.device,
+                TraceKind::QueueDrop,
+                Some(&frame),
+                "tx queue overflow",
+            );
+            return;
+        }
+        let config = &self.links[link.index()].config;
         let wire_bytes = frame.len().max(MIN_FRAME_BYTES) + WIRE_OVERHEAD_BYTES;
-        let ser = serialization_time(wire_bytes, rate);
-        {
-            let port = self.devices[at.device.index()]
-                .port_mut(at.port)
-                .expect("port");
-            port.busy = true;
-            port.in_flight = Some(frame);
-        }
+        let end = port
+            .busy_until(now)
+            .saturating_add(serialization_time(wire_bytes, config.rate_bps));
+        port.committed.push_back((end, frame.len()));
         self.queue.push(
-            self.now.saturating_add(ser),
-            EventKind::TxComplete { port: at },
+            end.saturating_add(config.propagation),
+            EventKind::Cross {
+                from: at,
+                link,
+                frame,
+            },
         );
     }
 
@@ -1206,6 +1117,7 @@ impl World {
                 } => {
                     self.queue.push_timer(
                         at,
+                        id,
                         EventKind::Timer {
                             node,
                             handler,
@@ -1214,9 +1126,7 @@ impl World {
                         },
                     );
                 }
-                Effect::CancelTimer(id) => {
-                    self.cancelled_timers.insert(id);
-                }
+                Effect::CancelTimer(id) => self.queue.cancel_timer(id),
                 Effect::Trace { kind, frame, note } => {
                     self.trace
                         .record(self.now, node, kind, frame.as_ref(), note);

@@ -645,3 +645,174 @@ fn timer_cancellation_prevents_firing() {
     world.run_for(SimDuration::from_millis(20));
     assert!(!world.protocol::<CancelOnFrame>(b, id).unwrap().fired);
 }
+
+/// Serialisation time of one minimum-size frame on a 10 Mb/s port.
+fn min_frame_time_10m() -> SimDuration {
+    vw_netsim::time::serialization_time(
+        vw_netsim::MIN_FRAME_BYTES + vw_netsim::WIRE_OVERHEAD_BYTES,
+        10_000_000,
+    )
+}
+
+#[test]
+fn burst_into_an_idle_port_drops_exactly_past_the_cap() {
+    let mut world = World::new(24);
+    let a = world.add_host("a");
+    let b = world.add_host("b");
+    world.connect(a, b, LinkConfig::ethernet_10m());
+    for _ in 0..200 {
+        world.inject_from_stack(a, test_frame(world.host_mac(a), world.host_mac(b)));
+    }
+    world.run_for(SimDuration::ZERO);
+    let port = vw_netsim::PortRef::new(a, 0);
+    // One frame on the wire, a full queue behind it, the rest tail-dropped.
+    let stats = world.port_stats(port);
+    assert_eq!(stats.dropped, 71);
+    assert_eq!(stats.queued, vw_netsim::DEFAULT_TX_QUEUE_CAP);
+    assert_eq!(stats.tx_frames, 0);
+    assert_eq!(world.trace().of_kind(TraceKind::QueueDrop).count(), 71);
+    world.run_for(SimDuration::from_millis(50));
+    let stats = world.port_stats(port);
+    assert_eq!(stats.tx_frames, 129);
+    assert_eq!(stats.dropped, 71);
+    assert_eq!(stats.queued, 0);
+}
+
+#[test]
+fn port_stats_mid_serialisation_count_only_finished_frames() {
+    let mut world = World::new(25);
+    let a = world.add_host("a");
+    let b = world.add_host("b");
+    world.connect(a, b, LinkConfig::ethernet_10m());
+    for _ in 0..10 {
+        world.inject_from_stack(a, test_frame(world.host_mac(a), world.host_mac(b)));
+    }
+    let ser = min_frame_time_10m().as_nanos();
+    let port = vw_netsim::PortRef::new(a, 0);
+    world.run_until(SimTime::from_nanos(3 * ser + ser / 2));
+    let stats = world.port_stats(port);
+    assert_eq!(stats.tx_frames, 3, "{stats:?}");
+    assert_eq!(stats.tx_bytes, 3 * 18);
+    assert_eq!(stats.queued, 6, "10 - 3 finished - 1 on the wire");
+    // A frame whose serialisation ends exactly now has been transmitted.
+    world.run_until(SimTime::from_nanos(5 * ser));
+    let stats = world.port_stats(port);
+    assert_eq!(stats.tx_frames, 5, "{stats:?}");
+    assert_eq!(stats.queued, 4);
+    world.run_for(SimDuration::from_millis(5));
+    let stats = world.port_stats(port);
+    assert_eq!((stats.tx_frames, stats.queued, stats.dropped), (10, 0, 0));
+}
+
+#[test]
+fn a_unicast_frame_costs_one_event_per_link_crossing() {
+    let mut world = World::new(26);
+    let (a, b) = two_hosts_via_switch(&mut world);
+    let rec = world.add_protocol(b, Binding::All, Box::new(Recorder::default()));
+    world.run_for(SimDuration::from_millis(1));
+    let before = world.events_processed();
+    world.inject_from_stack(a, test_frame(world.host_mac(a), world.host_mac(b)));
+    world.run_for(SimDuration::from_millis(1));
+    assert_eq!(world.protocol::<Recorder>(b, rec).unwrap().frames.len(), 1);
+    // The injection itself, then host→switch and switch→host.
+    assert_eq!(world.events_processed() - before, 1 + 2);
+}
+
+#[test]
+fn a_hub_fan_out_costs_one_event_per_output_port() {
+    let mut world = World::new(27);
+    let hub = world.add_hub("hub", 6);
+    let hosts: Vec<_> = (0..4)
+        .map(|i| {
+            let h = world.add_host(&format!("h{i}"));
+            world.connect(h, hub, LinkConfig::ethernet_10m());
+            h
+        })
+        .collect();
+    world.run_for(SimDuration::from_millis(1));
+    let before = world.events_processed();
+    world.inject_from_stack(
+        hosts[0],
+        test_frame(world.host_mac(hosts[0]), MacAddr::BROADCAST),
+    );
+    world.run_for(SimDuration::from_millis(1));
+    // The injection, the crossing into the hub, then one crossing per
+    // connected output port (k = 3; the two unconnected ports cost none).
+    assert_eq!(world.events_processed() - before, 1 + (1 + 3));
+    assert_eq!(world.trace().of_kind(TraceKind::HostRecv).count(), 3);
+}
+
+/// Sets a timer on every start, cancelling it at once if
+/// `cancel_at_once`; counts how often `on_timer` runs.
+struct TimerProbe {
+    cancel_at_once: bool,
+    last: Option<vw_netsim::TimerId>,
+    fired: u32,
+}
+
+impl Protocol for TimerProbe {
+    fn name(&self) -> &str {
+        "timer-probe"
+    }
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        // A poke first cancels the previous timer, fired or not.
+        if let Some(id) = self.last.take() {
+            ctx.cancel_timer(id);
+        }
+        let id = ctx.set_timer(SimDuration::from_millis(1), 7);
+        if self.cancel_at_once {
+            ctx.cancel_timer(id);
+        } else {
+            self.last = Some(id);
+        }
+    }
+    fn on_frame(&mut self, _ctx: &mut Context<'_>, _frame: Frame) {}
+    fn on_timer(&mut self, _ctx: &mut Context<'_>, token: u64) {
+        assert_eq!(token, 7);
+        self.fired += 1;
+    }
+}
+
+#[test]
+fn a_cancelled_timer_costs_no_event_and_never_fires() {
+    let mut world = World::new(28);
+    let a = world.add_host("a");
+    let id = world.add_protocol(
+        a,
+        Binding::All,
+        Box::new(TimerProbe {
+            cancel_at_once: true,
+            last: None,
+            fired: 0,
+        }),
+    );
+    world.run_for(SimDuration::from_millis(20));
+    assert_eq!(world.protocol::<TimerProbe>(a, id).unwrap().fired, 0);
+    // Only the start callback ran; the timer left the queue on cancel.
+    assert_eq!(world.events_processed(), 1);
+    assert_eq!(world.pending_events(), 0);
+}
+
+#[test]
+fn cancelling_a_fired_timer_is_harmless() {
+    let mut world = World::new(29);
+    let a = world.add_host("a");
+    let id = world.add_protocol(
+        a,
+        Binding::All,
+        Box::new(TimerProbe {
+            cancel_at_once: false,
+            last: None,
+            fired: 0,
+        }),
+    );
+    world.run_for(SimDuration::from_millis(5));
+    assert_eq!(world.protocol::<TimerProbe>(a, id).unwrap().fired, 1);
+    // The poke cancels the timer that already fired and arms a new one.
+    world.poke(a, vw_netsim::HandlerRef::Protocol(id));
+    world.run_for(SimDuration::from_millis(5));
+    assert_eq!(world.protocol::<TimerProbe>(a, id).unwrap().fired, 2);
+    // start, timer, poke, timer.
+    assert_eq!(world.events_processed(), 4);
+    assert_eq!(world.pending_events(), 0);
+}

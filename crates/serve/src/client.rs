@@ -4,7 +4,12 @@
 //! (submit-then-stream, attach-then-stream, stats, ping). Concurrency
 //! comes from opening more clients — the `load_test` example runs
 //! dozens against one daemon.
+//!
+//! A campaign already streaming on a connection keeps sending `Outcome`
+//! and `Done` frames while a later request waits for its reply; the
+//! client sets them aside and [`Client::stream`] delivers them first.
 
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -92,6 +97,9 @@ pub struct Client {
     /// Client-side mirror of the daemon registry, rebuilt delta by
     /// delta across [`next_telemetry`](Client::next_telemetry) calls.
     telemetry: MetricsRegistry,
+    /// `Outcome`/`Done` frames that arrived while a request waited for
+    /// its reply, oldest first.
+    stream_backlog: VecDeque<Frame>,
 }
 
 impl Client {
@@ -111,13 +119,14 @@ impl Client {
             decoder: DecodeBuffer::new(),
             next_request: 1,
             telemetry: MetricsRegistry::new(),
+            stream_backlog: VecDeque::new(),
         }
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ClientError> {
         let id = self.send(FrameType::Ping, Vec::new())?;
-        let reply = self.recv_skipping_telemetry()?;
+        let reply = self.recv_reply()?;
         match reply.frame_type {
             FrameType::Pong if reply.request_id == id => Ok(()),
             _ => Err(unexpected(&reply)),
@@ -127,7 +136,7 @@ impl Client {
     /// Fetches daemon metrics (Prometheus text format).
     pub fn stats(&mut self) -> Result<String, ClientError> {
         let id = self.send(FrameType::Stats, Vec::new())?;
-        let reply = self.recv_skipping_telemetry()?;
+        let reply = self.recv_reply()?;
         match reply.frame_type {
             FrameType::StatsReply if reply.request_id == id => get_str(&reply.payload, &mut 0)
                 .ok_or_else(|| ClientError::Protocol("undecodable StatsReply".into())),
@@ -160,7 +169,10 @@ impl Client {
     /// spec and key).
     pub fn stream(&mut self, mut on_line: impl FnMut(u64, &str)) -> Result<String, ClientError> {
         loop {
-            let frame = self.recv()?;
+            let frame = match self.stream_backlog.pop_front() {
+                Some(frame) => frame,
+                None => self.recv()?,
+            };
             match frame.frame_type {
                 FrameType::Outcome => {
                     let (instance, line) = decode_outcome_line(&frame.payload)
@@ -221,22 +233,18 @@ impl Client {
     /// Queries the daemon's journal ring.
     pub fn journal_query(&mut self, query: &JournalQuery) -> Result<JournalReply, ClientError> {
         let id = self.send(FrameType::JournalQuery, query.encode())?;
-        loop {
-            let reply = self.recv()?;
-            match reply.frame_type {
-                FrameType::JournalReply if reply.request_id == id => {
-                    return JournalReply::decode(&reply.payload)
-                        .ok_or_else(|| ClientError::Protocol("undecodable JournalReply".into()));
-                }
-                // Telemetry keeps flowing during the round-trip.
-                FrameType::TelemetryDelta => continue,
-                _ => return Err(unexpected(&reply)),
+        let reply = self.recv_reply()?;
+        match reply.frame_type {
+            FrameType::JournalReply if reply.request_id == id => {
+                JournalReply::decode(&reply.payload)
+                    .ok_or_else(|| ClientError::Protocol("undecodable JournalReply".into()))
             }
+            _ => Err(unexpected(&reply)),
         }
     }
 
     fn expect_accepted(&mut self, id: u64) -> Result<Accepted, ClientError> {
-        let reply = self.recv_skipping_telemetry()?;
+        let reply = self.recv_reply()?;
         match reply.frame_type {
             FrameType::Accepted if reply.request_id == id => Accepted::decode(&reply.payload)
                 .ok_or_else(|| ClientError::Protocol("undecodable Accepted".into())),
@@ -244,14 +252,17 @@ impl Client {
         }
     }
 
-    /// [`recv`](Client::recv), discarding any interleaved telemetry
-    /// deltas — request/reply calls stay correct while a subscription
-    /// is live.
-    fn recv_skipping_telemetry(&mut self) -> Result<Frame, ClientError> {
+    /// [`recv`](Client::recv) for a request's reply: interleaved
+    /// telemetry deltas are discarded and outcome-stream frames are set
+    /// aside for [`stream`](Client::stream), so request/reply calls stay
+    /// correct while a subscription or a campaign is live.
+    fn recv_reply(&mut self) -> Result<Frame, ClientError> {
         loop {
             let frame = self.recv()?;
-            if frame.frame_type != FrameType::TelemetryDelta {
-                return Ok(frame);
+            match frame.frame_type {
+                FrameType::TelemetryDelta => {}
+                FrameType::Outcome | FrameType::Done => self.stream_backlog.push_back(frame),
+                _ => return Ok(frame),
             }
         }
     }
@@ -294,4 +305,61 @@ fn unexpected(frame: &Frame) -> ClientError {
         }
     }
     ClientError::Protocol(format!("unexpected frame {:?}", frame.frame_type))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::payload::{encode_error, encode_outcome_line};
+
+    fn outcome(instance: u64) -> Frame {
+        let line = format!("{{\"instance\":{instance}}}");
+        Frame::new(FrameType::Outcome, 1, encode_outcome_line(instance, &line))
+    }
+
+    #[test]
+    fn outcomes_that_overtake_a_reply_are_kept_for_the_stream() {
+        let (near, mut daemon) = UnixStream::pair().expect("socket pair");
+        let mut client = Client::new(Sock::Unix(near));
+        let accepted = Accepted {
+            campaign: "c".into(),
+            total: 3,
+            shards: 1,
+            already_done: 0,
+        };
+        // A fake daemon whose campaign streams ahead of every reply: the
+        // whole conversation is written before the client reads a byte.
+        let frames = [
+            outcome(0),
+            Frame::new(FrameType::Accepted, 1, accepted.encode()),
+            outcome(1),
+            Frame::new(
+                FrameType::Error,
+                2,
+                encode_error(ErrorCode::QuotaExceeded, "one campaign per connection"),
+            ),
+            outcome(2),
+            Frame::new(FrameType::Pong, 3, Vec::new()),
+            Frame::new(FrameType::Done, 1, encode_outcome_line(3, "summary")),
+        ];
+        for frame in &frames {
+            daemon.write_all(&frame.encode()).expect("write");
+        }
+
+        assert_eq!(client.attach("c").expect("accepted"), accepted);
+        match client.attach("second") {
+            Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::QuotaExceeded),
+            other => panic!("expected a typed rejection, got {other:?}"),
+        }
+        client.ping().expect("pong");
+        let mut lines = Vec::new();
+        let summary = client
+            .stream(|instance, line| lines.push((instance, line.to_string())))
+            .expect("stream");
+        assert_eq!(summary, "summary");
+        let want: Vec<(u64, String)> = (0..3)
+            .map(|i| (i, format!("{{\"instance\":{i}}}")))
+            .collect();
+        assert_eq!(lines, want);
+    }
 }
