@@ -11,14 +11,17 @@
 //!   per rule visited for exactly that reason, and the Figure 8 experiment
 //!   pins this mode.
 //! * [`ClassifierMode::Indexed`] (the default elsewhere) compiles the
-//!   filter table into a dispatch index: filters sharing a discriminant
-//!   key `(offset, len, mask)` are bucketed, and a hash lookup on the
-//!   frame's masked bytes at that key yields the candidate filters.
-//!   Filters whose every tuple is a runtime `VAR` pattern cannot be keyed
-//!   and fall back to an ordered *residual* scan. Candidates from all
-//!   buckets are merged with the residuals in ascending filter-id order
-//!   and fully verified, so first-match-wins priority is preserved
-//!   exactly; only the number of rules *visited* changes.
+//!   filter table into a dispatch index: each filter is keyed by its
+//!   discriminant tuple — the compiler picks the literal tuple the fewest
+//!   filters share — and filters whose keys read the same
+//!   `(offset, len, mask)` window share a bucket. Per bucket, a binary
+//!   search of its sorted literals for the frame's masked bytes yields the
+//!   candidate filters. Filters whose every tuple is a runtime `VAR`
+//!   pattern cannot be keyed and fall back to an ordered *residual* scan.
+//!   Candidates from all buckets are merged with the residuals in
+//!   ascending filter-id order and fully verified, so first-match-wins
+//!   priority is preserved exactly; only the number of rules *visited*
+//!   changes.
 
 use std::collections::HashMap;
 
@@ -137,10 +140,11 @@ struct Bucket {
     offset: u32,
     len: u32,
     mask: Option<u64>,
-    /// Masked literal value → filter ids, ascending. Sorted by key and
-    /// binary-searched: buckets hold a handful of distinct literals, and
-    /// a probe per frame must not pay a sip-hash per bucket.
-    candidates: Vec<(u64, Vec<u16>)>,
+    /// `(masked literal, filter id)` pairs, sorted by literal and then
+    /// id. A frame's candidates are the run whose literal equals its
+    /// masked bytes, found by binary search: a probe per frame must not
+    /// pay a sip-hash per bucket.
+    candidates: Vec<(u64, u16)>,
 }
 
 /// The compiled dispatch index behind [`ClassifierMode::Indexed`].
@@ -154,9 +158,10 @@ pub struct ClassifierIndex {
 
 impl ClassifierIndex {
     /// Compiles the filter table into the dispatch index, using the
-    /// compiler-emitted discriminant metadata. A filter whose metadata is
-    /// missing or does not reference an in-range literal tuple degrades to
-    /// the residual scan — slower, never wrong.
+    /// compiler-emitted discriminant metadata; a filter without metadata
+    /// is keyed by its first literal tuple. A filter whose metadata does
+    /// not reference an in-range literal tuple degrades to the residual
+    /// scan — slower, never wrong.
     pub fn build(tables: &TableSet) -> Self {
         let mut index = ClassifierIndex::default();
         for (i, filter) in tables.filters.iter().enumerate() {
@@ -189,15 +194,10 @@ impl ClassifierIndex {
                         index.buckets.last_mut().expect("just pushed")
                     }
                 };
-            // Filters are visited in ascending id order, so each candidate
-            // list stays sorted by construction.
-            match bucket
-                .candidates
-                .binary_search_by_key(&key_value, |(k, _)| *k)
-            {
-                Ok(pos) => bucket.candidates[pos].1.push(i as u16),
-                Err(pos) => bucket.candidates.insert(pos, (key_value, vec![i as u16])),
-            }
+            bucket.candidates.push((key_value, i as u16));
+        }
+        for bucket in &mut index.buckets {
+            bucket.candidates.sort_unstable();
         }
         index
     }
@@ -232,14 +232,13 @@ impl ClassifierIndex {
                 actual = actual << 8 | u64::from(*b);
             }
             let key = actual & bucket.mask.unwrap_or(u64::MAX);
-            if let Ok(pos) = bucket.candidates.binary_search_by_key(&key, |(k, _)| *k) {
-                scratch.candidates.extend(
-                    bucket.candidates[pos]
-                        .1
-                        .iter()
-                        .map(|&id| u32::from(id) << 1 | 1),
-                );
-            }
+            let start = bucket.candidates.partition_point(|&(k, _)| k < key);
+            scratch.candidates.extend(
+                bucket.candidates[start..]
+                    .iter()
+                    .take_while(|&&(k, _)| k == key)
+                    .map(|&(_, id)| u32::from(id) << 1 | 1),
+            );
         }
         scratch
             .candidates

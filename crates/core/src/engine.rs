@@ -349,10 +349,11 @@ pub struct Engine {
     classifier: Classifier,
     /// Reusable classification buffers (no per-packet allocation).
     scratch: ClassifierScratch,
-    /// Install-time dispatch: `(filter, dir)` → counters that can match a
-    /// packet so classified *at this node* — replaces the per-packet scan
-    /// of the whole counter table.
-    counter_dispatch: HashMap<(FilterId, Dir), Vec<CounterId>>,
+    /// Install-time frame plan, one slot per `(filter, dir)` (see
+    /// [`plan_slot`]): what a packet so classified can touch *at this
+    /// node* — replaces per-packet scans of the counter, condition and
+    /// action tables.
+    frame_plan: Vec<FramePlan>,
     /// Reusable evaluation-cascade worklist.
     cascade_worklist: Vec<CounterId>,
     /// Reusable buffer for the counters a packet bumps.
@@ -422,7 +423,7 @@ impl Engine {
             last_match: SimTime::ZERO,
             classifier: Classifier::Linear,
             scratch: ClassifierScratch::default(),
-            counter_dispatch: HashMap::new(),
+            frame_plan: Vec::new(),
             cascade_worklist: Vec::new(),
             scratch_bump: Vec::new(),
             scratch_fired: Vec::new(),
@@ -442,7 +443,7 @@ impl Engine {
         engine.is_control = true;
         engine.me = Some(me);
         engine.classifier = Classifier::build(cfg.classifier, &tables);
-        engine.counter_dispatch = build_counter_dispatch(&tables, me);
+        engine.frame_plan = build_frame_plan(&tables, me);
         engine.node_macs = tables.nodes.iter().map(|n| n.mac).collect();
         engine.tables = Some(tables);
         engine
@@ -552,7 +553,7 @@ impl Engine {
         let nconds = tables.conditions.len();
         let nfilters = tables.filters.len();
         self.classifier = Classifier::build(self.cfg.classifier, &tables);
-        self.counter_dispatch = build_counter_dispatch(&tables, me);
+        self.frame_plan = build_frame_plan(&tables, me);
         self.node_macs = tables.nodes.iter().map(|n| n.mac).collect();
         self.tables = Some(tables);
         self.me = Some(me);
@@ -1437,7 +1438,9 @@ impl Engine {
         // against the earliest pending deadline when nothing is due.
         self.pump_control(ctx);
         let tables = self.tables.take().expect("initialized with me");
-        let verdict = self.process_packet_inner(ctx, &tables, frame, dir);
+        let plans = std::mem::take(&mut self.frame_plan);
+        let verdict = self.process_packet_inner(ctx, &tables, &plans, frame, dir);
+        self.frame_plan = plans;
         self.tables = Some(tables);
         verdict
     }
@@ -1446,6 +1449,7 @@ impl Engine {
         &mut self,
         ctx: &mut Context<'_>,
         tables: &TableSet,
+        plans: &[FramePlan],
         frame: Frame,
         dir: Dir,
     ) -> Verdict {
@@ -1491,25 +1495,25 @@ impl Engine {
             });
         }
 
+        // The install-time plan narrows the counters and gated faults to
+        // those keyed by this packet's (filter, dir) at this node; only the
+        // enabled/status and endpoint checks remain per packet.
+        let plan = &plans[plan_slot(classification.filter, dir)];
+
         // ---- counter updates (Figure 4(b): update_counter) ----------
-        // The install-time dispatch map narrows the candidates to the
-        // counters keyed by this packet's (filter, dir); only the
-        // enabled/endpoint checks remain per packet.
         let mut bump = std::mem::take(&mut self.scratch_bump);
         bump.clear();
-        if let Some(candidates) = self.counter_dispatch.get(&(classification.filter, dir)) {
-            for &counter in candidates {
-                let CompiledCounterKind::Packet { from, to, .. } =
-                    tables.counters[counter.index()].kind
-                else {
-                    continue;
-                };
-                if self.counter_enabled[counter.index()]
-                    && classification.from == Some(from)
-                    && classification.to == Some(to)
-                {
-                    bump.push(counter);
-                }
+        for &counter in &plan.counters {
+            let CompiledCounterKind::Packet { from, to, .. } =
+                tables.counters[counter.index()].kind
+            else {
+                continue;
+            };
+            if self.counter_enabled[counter.index()]
+                && classification.from == Some(from)
+                && classification.to == Some(to)
+            {
+                bump.push(counter);
             }
         }
         let mut worklist = std::mem::take(&mut self.cascade_worklist);
@@ -1543,13 +1547,18 @@ impl Engine {
         }
 
         // ---- gated faults --------------------------------------------
-        self.apply_gates(ctx, tables, frame, dir, &classification)
+        self.apply_gates(ctx, tables, &plan.gates, frame, dir, &classification)
     }
 
+    /// Applies this frame's planned gates in condition order, then gate
+    /// order: DROP consumes at once, MODIFY rewrites in place, DUP marks
+    /// the frame for a second copy, and DELAY/REORDER hold the frame —
+    /// and its DUP copy, if any — instead of passing it on.
     fn apply_gates(
         &mut self,
         ctx: &mut Context<'_>,
         tables: &TableSet,
+        gates: &[PlannedGate],
         mut frame: Frame,
         dir: Dir,
         classification: &Classification,
@@ -1563,165 +1572,128 @@ impl Engine {
         );
         let me = self.me.expect("initialized");
         let mut duplicate = false;
-        for (ci, cond) in tables.conditions.iter().enumerate() {
-            if !self.cond_status[ci] {
+        for gate in gates {
+            if !self.cond_status[gate.cond.index()]
+                || classification.from != Some(gate.from)
+                || classification.to != Some(gate.to)
+            {
                 continue;
             }
-            for (node, action) in &cond.gates {
-                if *node != me {
-                    continue;
+            let action = gate.action;
+            let kind = &tables.actions[action.index()].kind;
+            ctx.charge(SimDuration::from_nanos(self.cfg.cost.per_action_ns));
+            if self.obs_faults() {
+                if let Some(obs_kind) = gate_action_kind(kind) {
+                    self.flight.push(ObsEvent::ActionTriggered {
+                        time: ctx.now(),
+                        node: me,
+                        frame_seq: self.frame_seq,
+                        action,
+                        kind: obs_kind,
+                    });
+                    self.latency_hist.observe(ctx.charged().as_nanos());
                 }
-                let kind = &tables.actions[action.index()].kind;
-                let (filter, from, to, fdir) = match kind {
-                    CompiledActionKind::Drop {
-                        filter,
-                        from,
-                        to,
-                        dir,
-                    }
-                    | CompiledActionKind::Dup {
-                        filter,
-                        from,
-                        to,
-                        dir,
-                    } => (*filter, *from, *to, *dir),
-                    CompiledActionKind::Delay {
-                        filter,
-                        from,
-                        to,
-                        dir,
-                        ..
-                    } => (*filter, *from, *to, *dir),
-                    CompiledActionKind::Reorder {
-                        filter,
-                        from,
-                        to,
-                        dir,
-                        ..
-                    } => (*filter, *from, *to, *dir),
-                    CompiledActionKind::Modify {
-                        filter,
-                        from,
-                        to,
-                        dir,
-                        ..
-                    } => (*filter, *from, *to, *dir),
-                    _ => continue,
-                };
-                let matches = filter == classification.filter
-                    && fdir == dir
-                    && classification.from == Some(from)
-                    && classification.to == Some(to);
-                if !matches {
-                    continue;
+            }
+            match kind {
+                CompiledActionKind::Drop { .. } => {
+                    self.stats.drops += 1;
+                    ctx.trace_frame(TraceKind::HookConsume, &frame, "virtualwire DROP");
+                    return Verdict::Consume;
                 }
-                ctx.charge(SimDuration::from_nanos(self.cfg.cost.per_action_ns));
-                if self.obs_faults() {
-                    if let Some(obs_kind) = gate_action_kind(kind) {
-                        self.flight.push(ObsEvent::ActionTriggered {
-                            time: ctx.now(),
-                            node: me,
-                            frame_seq: self.frame_seq,
-                            action: *action,
-                            kind: obs_kind,
-                        });
-                        self.latency_hist.observe(ctx.charged().as_nanos());
-                    }
+                CompiledActionKind::Dup { .. } => {
+                    self.stats.dups += 1;
+                    duplicate = true;
                 }
-                match kind {
-                    CompiledActionKind::Drop { .. } => {
-                        self.stats.drops += 1;
-                        ctx.trace_frame(TraceKind::HookConsume, &frame, "virtualwire DROP");
-                        return Verdict::Consume;
-                    }
-                    CompiledActionKind::Dup { .. } => {
-                        self.stats.dups += 1;
-                        duplicate = true;
-                    }
-                    CompiledActionKind::Modify { pattern, .. } => {
-                        self.stats.modifies += 1;
-                        match pattern {
-                            vw_fsl::ModifyPattern::Random => {
-                                // Random perturbation of payload bytes,
-                                // as Section 5.2 describes.
-                                use rand::Rng;
-                                let len = frame.len();
-                                if len > 14 {
-                                    let flips = ctx.rng().random_range(1..=3u32);
-                                    for _ in 0..flips {
-                                        let byte = ctx.rng().random_range(14..len);
-                                        let bit = ctx.rng().random_range(0..8u8);
-                                        frame.flip_bit(byte, bit);
-                                    }
+                CompiledActionKind::Modify { pattern, .. } => {
+                    self.stats.modifies += 1;
+                    match pattern {
+                        vw_fsl::ModifyPattern::Random => {
+                            // Random perturbation of payload bytes,
+                            // as Section 5.2 describes.
+                            use rand::Rng;
+                            let len = frame.len();
+                            if len > 14 {
+                                let flips = ctx.rng().random_range(1..=3u32);
+                                for _ in 0..flips {
+                                    let byte = ctx.rng().random_range(14..len);
+                                    let bit = ctx.rng().random_range(0..8u8);
+                                    frame.flip_bit(byte, bit);
                                 }
                             }
-                            &vw_fsl::ModifyPattern::Set { offset, len, value } => {
-                                let bytes = value.to_be_bytes();
-                                let n = (len as usize).min(8);
-                                if !frame.set_bytes(offset as usize, &bytes[8 - n..]) {
-                                    // The write window falls off the end
-                                    // of the frame: skip it loudly (once
-                                    // per action) rather than truncating
-                                    // or panicking.
-                                    self.stats.modify_oob += 1;
-                                    if self.oob_flagged.insert(*action) {
-                                        self.errors.push(FlaggedError {
-                                            node: me,
-                                            node_name: tables.nodes[me.index()].name.clone(),
-                                            condition: None,
-                                            message: format!(
-                                                "MODIFY SET writes {n} byte(s) at offset \
+                        }
+                        &vw_fsl::ModifyPattern::Set { offset, len, value } => {
+                            let bytes = value.to_be_bytes();
+                            let n = (len as usize).min(8);
+                            if !frame.set_bytes(offset as usize, &bytes[8 - n..]) {
+                                // The write window falls off the end
+                                // of the frame: skip it loudly (once
+                                // per action) rather than truncating
+                                // or panicking.
+                                self.stats.modify_oob += 1;
+                                if self.oob_flagged.insert(action) {
+                                    self.errors.push(FlaggedError {
+                                        node: me,
+                                        node_name: tables.nodes[me.index()].name.clone(),
+                                        condition: None,
+                                        message: format!(
+                                            "MODIFY SET writes {n} byte(s) at offset \
                                                  {offset}, outside the {}-byte frame; \
                                                  write skipped",
-                                                frame.len()
-                                            ),
-                                            time: ctx.now(),
-                                        });
-                                    }
+                                            frame.len()
+                                        ),
+                                        time: ctx.now(),
+                                    });
                                 }
                             }
                         }
                     }
-                    &CompiledActionKind::Delay { duration_ns, .. } => {
+                }
+                &CompiledActionKind::Delay { duration_ns, .. } => {
+                    // The paper's delay granularity is one jiffy.
+                    let delay = SimDuration::from_nanos(duration_ns).quantize_to_jiffies();
+                    // A DUP copy is held too, and released right
+                    // behind the original.
+                    for copy in copies(frame, duplicate) {
                         self.stats.delays += 1;
-                        // The paper's delay granularity is one jiffy.
-                        let delay = SimDuration::from_nanos(duration_ns).quantize_to_jiffies();
                         self.next_delay_token += 1;
                         let token = TIMER_DELAY_BASE + self.next_delay_token;
                         self.stats.faults_in_limbo += 1;
-                        self.held.insert(token, (frame, dir));
+                        self.held.insert(token, (copy, dir));
                         ctx.set_timer(delay, token);
-                        return Verdict::Replace(Vec::new());
                     }
-                    CompiledActionKind::Reorder { count, order, .. } => {
+                    return Verdict::Replace(Vec::new());
+                }
+                CompiledActionKind::Reorder { count, order, .. } => {
+                    // Each copy (the frame, then its DUP copy) takes a
+                    // slot; a batch is released as soon as it fills.
+                    let mut pass = Vec::new();
+                    for copy in copies(frame, duplicate) {
                         self.stats.reorders += 1;
                         self.stats.faults_in_limbo += 1;
-                        let buffer = self.reorder_bufs.entry(*action).or_default();
-                        buffer.push((frame, dir));
-                        if buffer.len() >= *count as usize {
-                            let batch = std::mem::take(buffer);
-                            let released = release_reorder_batch(batch, order, &mut self.stats);
-                            let mut pass = Vec::with_capacity(released.len());
-                            for (f, fdir) in released {
-                                if fdir == dir {
-                                    pass.push(f);
-                                } else {
-                                    // A frame buffered while traveling the
-                                    // other direction cannot ride this
-                                    // chain traversal; re-emit it on its
-                                    // own path instead of flipping it.
-                                    match fdir {
-                                        Dir::Send => ctx.send(f),
-                                        Dir::Recv => ctx.deliver_up(f),
-                                    }
+                        let buffer = self.reorder_bufs.entry(action).or_default();
+                        buffer.push((copy, dir));
+                        if buffer.len() < *count as usize {
+                            continue;
+                        }
+                        let batch = std::mem::take(buffer);
+                        for (f, fdir) in release_reorder_batch(batch, order, &mut self.stats) {
+                            if fdir == dir {
+                                pass.push(f);
+                            } else {
+                                // A frame buffered while traveling the
+                                // other direction cannot ride this
+                                // chain traversal; re-emit it on its
+                                // own path instead of flipping it.
+                                match fdir {
+                                    Dir::Send => ctx.send(f),
+                                    Dir::Recv => ctx.deliver_up(f),
                                 }
                             }
-                            return Verdict::Replace(pass);
                         }
-                        return Verdict::Replace(Vec::new());
                     }
-                    _ => {}
+                    return Verdict::Replace(pass);
                 }
+                _ => {}
             }
         }
         if duplicate {
@@ -1804,27 +1776,116 @@ fn now_ns(ctx: &Context<'_>) -> i64 {
     i64::try_from(ctx.now().as_nanos()).unwrap_or(i64::MAX)
 }
 
-/// Builds the install-time counter dispatch for `me`: every packet counter
-/// homed here, keyed by its `(filter, dir)` tuple. Lets the packet path
-/// touch only the counters that can possibly match instead of scanning the
-/// whole counter table per frame.
-fn build_counter_dispatch(
-    tables: &TableSet,
-    me: NodeId,
-) -> HashMap<(FilterId, Dir), Vec<CounterId>> {
-    let mut dispatch: HashMap<(FilterId, Dir), Vec<CounterId>> = HashMap::new();
+/// The frame and, after a DUP gate, its copy — original first.
+fn copies(frame: Frame, duplicate: bool) -> impl Iterator<Item = Frame> {
+    let copy = duplicate.then(|| frame.clone());
+    std::iter::once(frame).chain(copy)
+}
+
+/// What a frame classified as one `(filter, dir)` can touch at this node.
+#[derive(Debug, Clone, Default)]
+struct FramePlan {
+    /// Packet counters homed here that count this `(filter, dir)`.
+    counters: Vec<CounterId>,
+    /// Packet faults gated here on this `(filter, dir)`, in condition
+    /// order and then gate order — the order [`Engine::apply_gates`]
+    /// applies them in (DROP before a later DUP, MODIFY before a later
+    /// DUP).
+    gates: Vec<PlannedGate>,
+}
+
+/// One level-gated packet fault of a [`FramePlan`]: it acts while `cond`
+/// holds on frames from `from` to `to`.
+#[derive(Debug, Clone, Copy)]
+struct PlannedGate {
+    cond: CondId,
+    action: ActionId,
+    from: NodeId,
+    to: NodeId,
+}
+
+/// The [`FramePlan`] slot of a `(filter, dir)`.
+fn plan_slot(filter: FilterId, dir: Dir) -> usize {
+    filter.index() * 2 + usize::from(dir == Dir::Recv)
+}
+
+/// Builds the install-time frame plan for `me`: every packet counter
+/// homed here and every packet fault gated here, under its
+/// `(filter, dir)`. The packet path then touches only what can possibly
+/// match instead of scanning the counter and condition tables per frame.
+fn build_frame_plan(tables: &TableSet, me: NodeId) -> Vec<FramePlan> {
+    let mut plan = vec![FramePlan::default(); tables.filters.len() * 2];
     for (i, c) in tables.counters.iter().enumerate() {
         if c.home != me {
             continue;
         }
         if let CompiledCounterKind::Packet { filter, dir, .. } = c.kind {
-            dispatch
-                .entry((filter, dir))
-                .or_default()
-                .push(CounterId(i as u16));
+            if let Some(slot) = plan.get_mut(plan_slot(filter, dir)) {
+                slot.counters.push(CounterId(i as u16));
+            }
         }
     }
-    dispatch
+    for (ci, cond) in tables.conditions.iter().enumerate() {
+        for &(node, action) in &cond.gates {
+            if node != me {
+                continue;
+            }
+            let Some((filter, from, to, dir)) = fault_target(&tables.actions[action.index()].kind)
+            else {
+                continue;
+            };
+            if let Some(slot) = plan.get_mut(plan_slot(filter, dir)) {
+                slot.gates.push(PlannedGate {
+                    cond: CondId(ci as u16),
+                    action,
+                    from,
+                    to,
+                });
+            }
+        }
+    }
+    plan
+}
+
+/// The `(filter, from, to, dir)` a packet fault acts on, or `None` for
+/// the edge-triggered kinds.
+fn fault_target(kind: &CompiledActionKind) -> Option<(FilterId, NodeId, NodeId, Dir)> {
+    match *kind {
+        CompiledActionKind::Drop {
+            filter,
+            from,
+            to,
+            dir,
+        }
+        | CompiledActionKind::Dup {
+            filter,
+            from,
+            to,
+            dir,
+        }
+        | CompiledActionKind::Delay {
+            filter,
+            from,
+            to,
+            dir,
+            ..
+        }
+        | CompiledActionKind::Reorder {
+            filter,
+            from,
+            to,
+            dir,
+            ..
+        }
+        | CompiledActionKind::Modify {
+            filter,
+            from,
+            to,
+            dir,
+            ..
+        } => Some((filter, from, to, dir)),
+        _ => None,
+    }
 }
 
 impl Hook for Engine {

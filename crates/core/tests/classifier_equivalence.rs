@@ -6,11 +6,12 @@
 //! (rules visited) may differ, which is the entire point of the index.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 use proptest::prelude::*;
-use virtualwire::{Classifier, ClassifierMode, ClassifierScratch};
+use virtualwire::{compile_script, Classifier, ClassifierMode, ClassifierScratch};
 use vw_fsl::{CompiledFilter, CompiledNode, FilterTuple, PatternValue, TableSet};
-use vw_packet::{EtherType, EthernetBuilder, Frame, MacAddr};
+use vw_packet::{EtherType, EthernetBuilder, Frame, MacAddr, UdpBuilder};
 
 const VAR_NAMES: [&str; 3] = ["A", "B", "C"];
 
@@ -195,4 +196,199 @@ proptest! {
             (l, i) => prop_assert!(false, "verdicts diverge: linear={l:?} indexed={i:?}"),
         }
     }
+}
+
+/// The literal tuple most generated filters share: "byte 20 is 2".
+const SHARED_TUPLE: &str = "(20 1 0x02)";
+
+/// FSL source text for one tuple drawn from a seed, over the same tiny
+/// alphabet as [`tuple_from`] so random frames match it often.
+fn tuple_text(r: u64) -> String {
+    let offset = 14 + r % 40;
+    let len = 1 + (r >> 8) % 2;
+    let value = if len == 1 {
+        (r >> 40) & 3
+    } else {
+        ((r >> 32) & 3) << 8 | (r >> 40) & 3
+    };
+    match (r >> 16) & 3 {
+        0 => format!(
+            "({offset} {len} {:#x} {value:#x})",
+            [0x01, 0x03][(r >> 24) as usize & 1]
+        ),
+        _ => format!("({offset} {len} {value:#x})"),
+    }
+}
+
+/// An FSL program whose filters mostly share [`SHARED_TUPLE`] (first or
+/// last) and differ in another tuple; a few carry no shared tuple or add
+/// a runtime `VAR` pattern. Compiled, it exercises the compiler's
+/// table-aware choice of each filter's index key.
+fn shared_tuple_script(words: &[u64]) -> String {
+    let mut filters = String::new();
+    for (i, &w) in words.iter().enumerate() {
+        let r = mix(w);
+        let own = tuple_text(r);
+        let line = match r >> 61 {
+            0 => own,
+            1 => format!("(30 1 A), {SHARED_TUPLE}, {own}"),
+            2 | 3 => format!("{SHARED_TUPLE}, {own}"),
+            _ => format!("{own}, {SHARED_TUPLE}"),
+        };
+        writeln!(filters, "f{i}: {line}").unwrap();
+    }
+    format!(
+        r#"
+        VAR A;
+        FILTER_TABLE
+        {filters}
+        END
+        NODE_TABLE
+        node1 02:00:00:00:00:01 10.0.0.1
+        node2 02:00:00:00:00:02 10.0.0.2
+        END
+        SCENARIO EQ
+        C: (f0, node1, node2, SEND)
+        ((C = 1)) >> STOP;
+        END
+        "#
+    )
+}
+
+proptest! {
+    #[test]
+    fn compiled_keys_agree_with_linear_on_shared_tuples(
+        words in proptest::collection::vec(any::<u64>(), 1..30),
+        payload in proptest::collection::vec(any::<u8>(), 0..50),
+        mac_sel in any::<u8>(),
+        var_bound in any::<bool>(),
+        var_val in 0u64..4,
+    ) {
+        let tables = compile_script(&shared_tuple_script(&words)).unwrap();
+        let frame = frame_from(mac_sel, &payload);
+        let mut vars = HashMap::new();
+        if var_bound {
+            vars.insert("A".to_string(), var_val);
+        }
+
+        let linear = Classifier::build(ClassifierMode::Linear, &tables);
+        let indexed = Classifier::build(ClassifierMode::Indexed, &tables);
+        let mut scratch = ClassifierScratch::default();
+        let lin = linear.classify(&tables, &vars, &frame, &mut scratch);
+        let idx = indexed.classify(&tables, &vars, &frame, &mut scratch);
+
+        match (lin, idx) {
+            (Ok(l), Ok(i)) => {
+                prop_assert_eq!(l.filter, i.filter, "winning filter id must agree");
+                prop_assert_eq!(l.from, i.from);
+                prop_assert_eq!(l.to, i.to);
+                prop_assert!(i.rules_scanned <= l.rules_scanned);
+            }
+            (Err(_), Err(_)) => {}
+            (l, i) => prop_assert!(false, "verdicts diverge: linear={l:?} indexed={i:?}"),
+        }
+    }
+}
+
+/// The shared-tuple generator reaches hits, not only misses, and tables
+/// where the compiler's keys let the index skip rules the scan visits.
+#[test]
+fn shared_tuple_generator_covers_hits_and_index_savings() {
+    let mut hits = 0u32;
+    let mut strictly_cheaper = 0u32;
+    for seed in 0..400u64 {
+        let words: Vec<u64> = (0..20).map(|i| mix(seed * 131 + i)).collect();
+        let tables = compile_script(&shared_tuple_script(&words)).unwrap();
+        let payload: Vec<u8> = (0..40).map(|i| (mix(seed ^ i << 7) & 0xFF) as u8).collect();
+        let frame = frame_from((seed % 9) as u8, &payload);
+        let vars = HashMap::from([("A".to_string(), seed % 4)]);
+        let mut scratch = ClassifierScratch::default();
+        let lin = Classifier::build(ClassifierMode::Linear, &tables).classify(
+            &tables,
+            &vars,
+            &frame,
+            &mut scratch,
+        );
+        let idx = Classifier::build(ClassifierMode::Indexed, &tables).classify(
+            &tables,
+            &vars,
+            &frame,
+            &mut scratch,
+        );
+        if let (Ok(l), Ok(i)) = (lin, idx) {
+            hits += 1;
+            strictly_cheaper += u32::from(i.rules_scanned < l.rules_scanned);
+        }
+    }
+    assert!(hits >= 20, "only {hits} hits in 400 runs");
+    assert!(
+        strictly_cheaper >= 10,
+        "index never beat the scan ({strictly_cheaper} of {hits} hits)"
+    );
+}
+
+/// A Fig. 8-style table shaped like the `flood_engine` benchmark's: 48
+/// decoys in four shapes ahead of the real UDP definition. Twelve decoys
+/// open with the same "is UDP" tuple as `udp_data`.
+fn decoy_table() -> TableSet {
+    let mut filters = String::new();
+    for k in 0..48u64 {
+        let port = 1024 + mix(k) % 20_000;
+        let line = match k % 4 {
+            0 => format!("(23 1 0x11), (36 2 {port:#06x})"),
+            1 => format!("(36 2 {port:#06x}), (23 1 0x11)"),
+            2 => format!("(23 1 0x06), (36 2 {port:#06x})"),
+            _ => format!("(12 2 0x0806), (38 4 {:#010x})", mix(k) >> 32),
+        };
+        writeln!(filters, "decoy{k}: {line}").unwrap();
+    }
+    compile_script(&format!(
+        r#"
+        FILTER_TABLE
+        {filters}
+        udp_data: (23 1 0x11), (36 2 0x6363)
+        END
+        NODE_TABLE
+        node1 02:00:00:00:00:01 192.168.1.2
+        node2 02:00:00:00:00:02 192.168.1.3
+        END
+        SCENARIO Decoys
+        Sent: (udp_data, node1, node2, SEND)
+        ((Sent = 1)) >> STOP;
+        END
+        "#
+    ))
+    .unwrap()
+}
+
+#[test]
+fn compiled_keys_verify_one_rule_where_first_literal_keys_verify_thirteen() {
+    let tables = decoy_table();
+    let frame = UdpBuilder::new()
+        .src_mac(MacAddr::from_index(1))
+        .dst_mac(MacAddr::from_index(2))
+        .src_ip("192.168.1.2".parse().unwrap())
+        .dst_ip("192.168.1.3".parse().unwrap())
+        .src_port(9000)
+        .dst_port(0x6363)
+        .payload(&[0u8; 18])
+        .build();
+    let udp_data = tables.filter_by_name("udp_data").unwrap();
+    let mut first_literal = tables.clone();
+    for f in &mut first_literal.filters {
+        f.discriminant = CompiledFilter::compute_discriminant(&f.tuples);
+    }
+
+    let vars = HashMap::new();
+    let mut scratch = ClassifierScratch::default();
+    let mut scanned = |tables: &TableSet, mode| {
+        let c = Classifier::build(mode, tables)
+            .classify(tables, &vars, &frame, &mut scratch)
+            .expect("the frame matches udp_data");
+        assert_eq!(c.filter, udp_data);
+        c.rules_scanned
+    };
+    assert_eq!(scanned(&tables, ClassifierMode::Linear), 49);
+    assert_eq!(scanned(&tables, ClassifierMode::Indexed), 1);
+    assert_eq!(scanned(&first_literal, ClassifierMode::Indexed), 13);
 }

@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 use virtualwire::{compile_script, EngineConfig, Runner, StopReason};
+use vw_fsl::{CompiledActionKind, Dir, NodeId, TableSet};
 use vw_netsim::apps::{UdpFlooder, UdpSink};
 use vw_netsim::{Binding, LinkConfig, SimDuration, World};
 use vw_packet::EtherType;
@@ -29,6 +30,20 @@ fn run_scenario(
 ) {
     let script = format!("{PREAMBLE}{scenario}");
     let tables = compile_script(&script).unwrap_or_else(|e| panic!("{e}"));
+    run_tables(seed, tables, count)
+}
+
+/// [`run_scenario`] over already compiled — possibly hand-edited — tables.
+fn run_tables(
+    seed: u64,
+    tables: TableSet,
+    count: u64,
+) -> (
+    World,
+    Runner,
+    vw_netsim::ProtocolId,
+    Vec<vw_netsim::DeviceId>,
+) {
     let mut world = World::new(seed);
     let nodes = Runner::create_hosts(&mut world, &tables);
     let sw = world.add_switch("sw0", 4);
@@ -234,6 +249,150 @@ fn modify_then_dup_compose() {
     // verifying sink accepted only datagrams 2 and 3.
     let frames = world.protocol::<UdpSink>(nodes[1], sink).unwrap().frames();
     assert_eq!(frames, 2);
+}
+
+#[test]
+fn dup_then_delay_keeps_both_copies() {
+    // DUP marks datagram 1 for a second copy; the DELAY after it must hold
+    // and release both copies, not only the original.
+    let (mut world, runner, sink, nodes) = run_scenario(
+        8,
+        r#"
+        SCENARIO DupThenDelay
+        Sent: (udp_data, node1, node2, SEND)
+        (TRUE) >> ENABLE_CNTR(Sent);
+        ((Sent = 1)) >> DUP(udp_data, node1, node2, SEND);
+        ((Sent = 1)) >> DELAY(udp_data, node1, node2, SEND, 20msec);
+        END
+        "#,
+        3,
+    );
+    let report = runner.run(&mut world, SimDuration::from_millis(500));
+    assert!(report.passed(), "{report:?}");
+    let stats = runner.engine(&world, "node1").unwrap().stats();
+    assert_eq!(stats.dups, 1);
+    assert_eq!(stats.delays, 2, "the original and its copy are both held");
+    assert_eq!(stats.faults_in_limbo, 0);
+    assert_eq!(stats.teardown_flushed, 0, "the timer released both");
+    let frames = world.protocol::<UdpSink>(nodes[1], sink).unwrap().frames();
+    assert_eq!(frames, 4, "three datagrams plus the duplicate");
+}
+
+#[test]
+fn dup_then_reorder_keeps_both_copies() {
+    // Datagram 3 fills the first 3-frame REORDER batch, which is released
+    // at once; its DUP copy then opens the second batch, which datagrams
+    // 4 and 5 fill.
+    let (mut world, runner, sink, nodes) = run_scenario(
+        9,
+        r#"
+        SCENARIO DupThenReorder
+        Sent: (udp_data, node1, node2, SEND)
+        (TRUE) >> ENABLE_CNTR(Sent);
+        ((Sent = 3)) >> DUP(udp_data, node1, node2, SEND);
+        ((Sent <= 5)) >> REORDER(udp_data, node1, node2, SEND, 3, (2 1 0));
+        END
+        "#,
+        5,
+    );
+    let report = runner.run(&mut world, SimDuration::from_millis(500));
+    assert!(report.passed(), "{report:?}");
+    let stats = runner.engine(&world, "node1").unwrap().stats();
+    assert_eq!(stats.dups, 1);
+    assert_eq!(stats.reorders, 6, "five datagrams and the copy buffered");
+    assert_eq!(stats.reorder_malformed, 0, "every batch held exactly 3");
+    assert_eq!(stats.faults_in_limbo, 0);
+    assert_eq!(stats.teardown_flushed, 0, "both batches filled in flight");
+    let frames = world.protocol::<UdpSink>(nodes[1], sink).unwrap().frames();
+    assert_eq!(frames, 6, "five datagrams plus the duplicate");
+}
+
+/// A SEND-side DROP gate at node1 that holds for every datagram. The
+/// frame-plan pins below each edit one field of its compiled gate, which
+/// must then leave node1's SEND frames alone.
+const DROP_ALL_SENT: &str = r#"
+    SCENARIO DropAllSent
+    Sent: (udp_data, node1, node2, SEND)
+    (TRUE) >> ENABLE_CNTR(Sent);
+    ((Sent > 0)) >> DROP(udp_data, node1, node2, SEND);
+    END
+"#;
+
+/// Runs [`DROP_ALL_SENT`] over 5 datagrams after `edit` rewrites its DROP
+/// action and gate; returns node1's drops and the datagrams delivered.
+fn run_edited_drop(edit: impl FnOnce(&mut CompiledActionKind, &mut NodeId)) -> (u64, u64) {
+    let mut tables = compile_script(&format!("{PREAMBLE}{DROP_ALL_SENT}")).unwrap();
+    let cond = tables
+        .conditions
+        .iter_mut()
+        .find(|c| !c.gates.is_empty())
+        .expect("the DROP rule has a gate");
+    let (mut home, action) = cond.gates[0];
+    let entry = &mut tables.actions[action.index()];
+    edit(&mut entry.kind, &mut home);
+    entry.node = home;
+    cond.gates[0].0 = home;
+    let (mut world, runner, sink, nodes) = run_tables(10, tables, 5);
+    let report = runner.run(&mut world, SimDuration::from_millis(500));
+    assert!(report.passed(), "{report:?}");
+    let drops = runner.engine(&world, "node1").unwrap().stats().drops;
+    let frames = world.protocol::<UdpSink>(nodes[1], sink).unwrap().frames();
+    (drops, frames)
+}
+
+#[test]
+fn send_gate_drops_its_own_send_frames() {
+    // The unedited gate: the baseline the pins below depart from.
+    assert_eq!(run_edited_drop(|_, _| {}), (5, 0));
+}
+
+#[test]
+fn recv_gate_never_touches_send_frames() {
+    let flipped = run_edited_drop(|kind, _| {
+        let CompiledActionKind::Drop { dir, .. } = kind else {
+            panic!("not a DROP: {kind:?}");
+        };
+        *dir = Dir::Recv;
+    });
+    assert_eq!(flipped, (0, 5));
+}
+
+#[test]
+fn gate_for_another_pair_never_touches_send_frames() {
+    let reversed = run_edited_drop(|kind, _| {
+        let CompiledActionKind::Drop { from, to, .. } = kind else {
+            panic!("not a DROP: {kind:?}");
+        };
+        std::mem::swap(from, to);
+    });
+    assert_eq!(reversed, (0, 5));
+}
+
+#[test]
+fn gate_homed_at_another_node_never_touches_send_frames() {
+    let moved = run_edited_drop(|_, home| *home = NodeId(1));
+    assert_eq!(moved, (0, 5));
+}
+
+#[test]
+fn recv_gate_fires_on_inbound_frames_at_its_home() {
+    let (mut world, runner, sink, nodes) = run_scenario(
+        11,
+        r#"
+        SCENARIO RecvDrop
+        Rcvd: (udp_data, node1, node2, RECV)
+        (TRUE) >> ENABLE_CNTR(Rcvd);
+        ((Rcvd = 2)) >> DROP(udp_data, node1, node2, RECV);
+        END
+        "#,
+        5,
+    );
+    let report = runner.run(&mut world, SimDuration::from_millis(500));
+    assert!(report.passed(), "{report:?}");
+    assert_eq!(runner.engine(&world, "node1").unwrap().stats().drops, 0);
+    assert_eq!(runner.engine(&world, "node2").unwrap().stats().drops, 1);
+    let frames = world.protocol::<UdpSink>(nodes[1], sink).unwrap().frames();
+    assert_eq!(frames, 4);
 }
 
 #[test]

@@ -82,16 +82,18 @@ pub struct CompiledFilter {
     /// Match tuples (all must match).
     pub tuples: Vec<FilterTuple>,
     /// Index-construction metadata: the tuple an indexed classifier can
-    /// key this filter by — the first tuple with a compile-time literal
-    /// pattern. `None` when every tuple is a runtime `VAR` pattern, in
-    /// which case the filter can only be matched by scanning.
+    /// key this filter by — the literal tuple whose masked key the fewest
+    /// filters of the table share (see [`compile`]). `None` when every
+    /// tuple is a runtime `VAR` pattern, in which case the filter can only
+    /// be matched by scanning.
     pub discriminant: Option<u16>,
 }
 
 impl CompiledFilter {
-    /// Computes the discriminant for a tuple list: the first tuple whose
-    /// pattern is a literal (usable as an index key without runtime
-    /// variable bindings).
+    /// Computes a table-blind discriminant for a tuple list: the first
+    /// tuple whose pattern is a literal (usable as an index key without
+    /// runtime variable bindings). The classifier falls back to it for
+    /// filters that carry no metadata.
     pub fn compute_discriminant(tuples: &[FilterTuple]) -> Option<u16> {
         tuples
             .iter()
@@ -429,20 +431,77 @@ impl TableSet {
 /// program is invalid.
 pub fn compile(program: &Program) -> Result<Vec<TableSet>, Vec<FslError>> {
     crate::analyze(program)?;
+    let discriminants = selective_discriminants(&program.filters);
     Ok(program
         .scenarios
         .iter()
-        .map(|scenario| compile_scenario(program, scenario))
+        .map(|scenario| compile_scenario(program, scenario, &discriminants))
         .collect())
 }
 
-fn compile_scenario(program: &Program, scenario: &Scenario) -> TableSet {
+/// A literal tuple's index key: `(offset, len, mask, value & mask)`.
+type TupleKey = (u32, u32, Option<u64>, u64);
+
+fn tuple_key(tuple: &FilterTuple) -> Option<TupleKey> {
+    match tuple.pattern {
+        PatternValue::Literal(v) => Some((
+            tuple.offset,
+            tuple.len,
+            tuple.mask,
+            v & tuple.mask.unwrap_or(u64::MAX),
+        )),
+        PatternValue::Var(_) => None,
+    }
+}
+
+/// Picks each filter's discriminant: the literal tuple whose key the
+/// fewest filters of the table share, ties to the earliest tuple. A key
+/// shared by many filters (`(23 1 0x11)`, "is UDP") buckets them all
+/// together, so every frame probing it verifies each of them; a rare key
+/// leaves one candidate to verify. A filter has `Some` discriminant
+/// exactly when it has a literal tuple.
+fn selective_discriminants(filters: &[FilterDef]) -> Vec<Option<u16>> {
+    // Every literal tuple as `(key, filter, tuple)`, sorted, so the
+    // filters sharing a key form one run. A sort rather than a hash map:
+    // compile time is part of every instance's set-up.
+    let mut keyed: Vec<(TupleKey, u16, u16)> = filters
+        .iter()
+        .enumerate()
+        .flat_map(|(f, def)| {
+            def.tuples
+                .iter()
+                .enumerate()
+                .filter_map(move |(t, tuple)| Some((tuple_key(tuple)?, f as u16, t as u16)))
+        })
+        .collect();
+    keyed.sort_unstable();
+    // Per filter, the best `(filters sharing the key, tuple)` so far.
+    let mut best: Vec<Option<(usize, u16)>> = vec![None; filters.len()];
+    for run in keyed.chunk_by(|a, b| a.0 == b.0) {
+        // A filter repeating the key counts once.
+        let sharing = 1 + run.windows(2).filter(|w| w[0].1 != w[1].1).count();
+        for &(_, f, t) in run {
+            let slot = &mut best[usize::from(f)];
+            if slot.is_none_or(|b| (sharing, t) < b) {
+                *slot = Some((sharing, t));
+            }
+        }
+    }
+    best.into_iter().map(|b| b.map(|(_, t)| t)).collect()
+}
+
+fn compile_scenario(
+    program: &Program,
+    scenario: &Scenario,
+    discriminants: &[Option<u16>],
+) -> TableSet {
     let filters: Vec<CompiledFilter> = program
         .filters
         .iter()
-        .map(|f| CompiledFilter {
+        .zip(discriminants)
+        .map(|(f, &discriminant)| CompiledFilter {
             name: f.name.clone(),
-            discriminant: CompiledFilter::compute_discriminant(&f.tuples),
+            discriminant,
             tuples: f.tuples.clone(),
         })
         .collect();
@@ -909,6 +968,39 @@ mod tests {
         assert_eq!(cond.eval_nodes, vec![n1, n3]);
         assert_eq!(cond.triggers.len(), 2);
         assert!(cond.gates.is_empty());
+    }
+
+    #[test]
+    fn discriminant_is_the_least_shared_literal_tuple() {
+        let src = r#"
+            VAR V;
+            FILTER_TABLE
+            a: (23 1 0x11), (36 2 0x0001)
+            b: (23 1 0x11), (36 2 0x0002)
+            c: (30 1 V)
+            d: (36 2 0x0003), (40 1 0x04)
+            e: (50 1 0x01), (50 1 0x01), (52 1 0x03)
+            f: (52 1 0x03), (50 1 0x01)
+            g: (23 1 0x0f 0x21), (23 1 0x11)
+            END
+            NODE_TABLE
+            n1 00:00:00:00:00:01 10.0.0.1
+            END
+            SCENARIO S
+            C: (n1)
+            ((C = 1)) >> STOP;
+            END
+        "#;
+        let t = compile(&parse(src).unwrap()).unwrap().remove(0);
+        let keys: Vec<Option<u16>> = t.filters.iter().map(|f| f.discriminant).collect();
+        // a, b: the port, not the "is UDP" byte three filters test. c: no
+        // literal. d: both tuples unique, so the earliest. e, f: a tuple
+        // repeated within e counts e once, so both keys tie at two
+        // filters. g: `0x21 & 0x0f` is a key no other filter shares.
+        assert_eq!(
+            keys,
+            [Some(1), Some(1), None, Some(0), Some(0), Some(0), Some(0)]
+        );
     }
 
     #[test]
